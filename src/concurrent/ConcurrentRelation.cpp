@@ -21,12 +21,14 @@ ConcurrentRelation::ConcurrentRelation(const Decomposition &D,
                               : ShardRouter::defaultShardColumn(D),
              Opts.NumShards),
       Locks(Opts.NumShards), Proto(D),
+      Shapes(std::make_shared<const Decomposition>(D), CostParams()),
       // Clamp: capacity 0 would be modulo-by-zero UB inside the
       // queue's ring in release builds (its own check is assert-only).
       ScanQueueCap(Opts.ScanQueueCapacity > 0 ? Opts.ScanQueueCapacity
                                               : 1) {
   assert(Router.shardColumn() < D.catalog().size() &&
          "shard column is not a column of the relation");
+  Shapes.enableThreadSafe();
   FdProbesRoute = true;
   for (const FuncDep &Fd : D.spec()->fds().deps())
     FdProbesRoute &= Fd.Lhs.contains(Router.shardColumn());

@@ -225,8 +225,17 @@ public:
     return transactLocked(Ops, Scope);
   }
 
-  /// query r s C, deduplicated across shards.
+  /// query r s C, deduplicated across shards. The shape must have a
+  /// valid plan (see canPlan).
   std::vector<Tuple> query(const Tuple &Pattern, ColumnSet OutputCols) const;
+
+  /// Whether a query binding \p InputCols and returning \p OutputCols
+  /// has a valid plan. Lock-free and safe against concurrent writers:
+  /// it plans over the facade's own decomposition copy, never a shard
+  /// slot (writers COW-swap those under their stripe).
+  bool canPlan(ColumnSet InputCols, ColumnSet OutputCols) const {
+    return Shapes.plan(InputCols, OutputCols) != nullptr;
+  }
 
   /// Streaming scan; like the sequential engine, no deduplication.
   /// Fan-out scans visit shards in index order under successive reader
@@ -505,6 +514,9 @@ private:
   /// for spec()/catalog()/decomp() and for COW shard clones, readable
   /// without any lock.
   Decomposition Proto;
+  /// Thread-safe plan cache over a copy of Proto, for canPlan. Plan
+  /// validity does not depend on cost parameters, so defaults serve.
+  mutable PlanCache Shapes;
   /// The live shard instances. shared_ptr: snapshot() pins the current
   /// instances by reference and writers COW-swap pinned ones (see
   /// writable()); each slot is only ever read or written under its

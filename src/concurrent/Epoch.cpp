@@ -189,16 +189,18 @@ void EpochManager::synchronize(const void *const *Tags, size_t NumTags) {
   }
 }
 
-void EpochManager::retire(void *P, void (*Del)(void *)) {
+void EpochManager::retire(void *P, void (*Del)(void *), bool Eager) {
   Handle &H = handle();
   Retired *R = new Retired{P, Del, globalEpoch(), nullptr};
   *H.Retired.Tail = R;
   H.Retired.Tail = &R->Next;
   ++H.Retired.Count;
-  // Amortized housekeeping: advance and reclaim every 64 retires, but
-  // never while this thread sits inside a section (its pinned epoch
-  // may not reflect what it still references).
-  if (H.Depth == 0 && (++H.RetireTicks & 63) == 0) {
+  // Amortized housekeeping: advance and reclaim every 64 retires (or
+  // now, for eager retires), but never while this thread sits inside
+  // a section (its pinned epoch may not reflect what it still
+  // references).
+  bool Due = (++H.RetireTicks & 63) == 0 || Eager;
+  if (H.Depth == 0 && Due) {
     tryAdvance();
     tryAdvance();
     reclaim();
@@ -309,24 +311,28 @@ void EpochManager::adoptOrphan(RetireList &&L) {
 
 EpochWriterFence::EpochWriterFence(EpochGate *Gates, const unsigned *Idx,
                                    size_t N)
-    : NumRaised(N) {
-  assert(N <= MaxGates && "fence over too many gates");
-  const void *Tags[MaxGates];
-  for (size_t I = 0; I != N; ++I) {
-    EpochGate *G = &Gates[Idx[I]];
-    Raised[I] = G;
-    Tags[I] = G;
-    // seq_cst store: the writer half of the Dekker handshake. The
-    // exclusive stripe lock (held by contract) serializes fences on
-    // the same gate, so a plain store of 1 cannot clobber a peer.
-    G->Writer.store(1, std::memory_order_seq_cst);
+    : Gates(Gates), Idx(Idx), N(N) {
+  // seq_cst stores: the writer half of the Dekker handshake. The
+  // exclusive stripe locks (held by contract) serialize fences on the
+  // same gate, so a plain store of 1 cannot clobber a peer.
+  for (size_t I = 0; I != N; ++I)
+    Gates[Idx[I]].Writer.store(1, std::memory_order_seq_cst);
+  // Every gate is raised before any wait, so waiting chunk by chunk
+  // drains exactly the sections one all-tag wait would: a section on
+  // a later chunk's gate that starts meanwhile sees its gate raised.
+  constexpr size_t Chunk = 64;
+  const void *Tags[Chunk];
+  for (size_t Base = 0; Base < N; Base += Chunk) {
+    size_t M = N - Base < Chunk ? N - Base : Chunk;
+    for (size_t I = 0; I != M; ++I)
+      Tags[I] = &Gates[Idx[Base + I]];
+    EpochManager::global().synchronize(Tags, M);
   }
-  EpochManager::global().synchronize(Tags, N);
 }
 
 EpochWriterFence::~EpochWriterFence() {
-  for (size_t I = NumRaised; I != 0; --I)
+  for (size_t I = N; I != 0; --I)
     // Release: the next wait-free reader's gate load (seq_cst implies
     // acquire) observes every write of the fenced mutation.
-    Raised[I - 1]->Writer.store(0, std::memory_order_release);
+    Gates[Idx[I - 1]].Writer.store(0, std::memory_order_release);
 }

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace relc {
 
@@ -92,15 +93,24 @@ public:
 
   /// Defer `Del(P)` until every participant has moved two epochs past
   /// the current one. Safe to call from any thread, inside or outside
-  /// a section. Periodically advances the epoch and reclaims as a side
-  /// effect, so callers need no explicit collection loop.
-  void retire(void *P, void (*Del)(void *));
+  /// a section. Advances the epoch and reclaims as a side effect —
+  /// every 64th retire, or on this one when \p Eager — so callers need
+  /// no explicit collection loop. Housekeeping never runs while the
+  /// calling thread is inside a section.
+  void retire(void *P, void (*Del)(void *), bool Eager = false);
 
   template <class T> static void deleteErased(void *P) {
     delete static_cast<T *>(P);
   }
   template <class T> void retireObject(T *P) {
     retire(P, &deleteErased<T>);
+  }
+  /// A retired shared_ptr is a reference to a whole shard state (the
+  /// copy-on-write swap in both sharded facades), so it reclaims
+  /// eagerly: batching 64 of them would keep dozens of frozen shards
+  /// alive when snapshots are frequent (docs/CONCURRENCY.md).
+  template <class T> void retireObject(std::shared_ptr<T> *P) {
+    retire(P, &deleteErased<std::shared_ptr<T>>, /*Eager=*/true);
   }
 
   uint64_t globalEpoch() const {
@@ -209,10 +219,10 @@ public:
 /// back to, and it is also what serializes fences on the same gate.
 class EpochWriterFence {
 public:
-  static constexpr size_t MaxGates = 64;
-
   explicit EpochWriterFence(EpochGate &G) : EpochWriterFence(&G, OneIdx, 1) {}
-  /// Gates[Idx[0..N)] — N <= MaxGates (facade shard counts are small).
+  /// Gates[Idx[0..N)], any N. The fence keeps \p Gates and \p Idx to
+  /// lower the gates again, so both must outlive it (callers pass the
+  /// facade's own arrays or a guard's stripe list declared first).
   EpochWriterFence(EpochGate *Gates, const unsigned *Idx, size_t N);
   ~EpochWriterFence();
   EpochWriterFence(const EpochWriterFence &) = delete;
@@ -220,8 +230,9 @@ public:
 
 private:
   static const unsigned OneIdx[1];
-  EpochGate *Raised[MaxGates];
-  size_t NumRaised;
+  EpochGate *Gates;
+  const unsigned *Idx;
+  size_t N;
 };
 
 } // namespace relc

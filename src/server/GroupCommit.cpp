@@ -62,6 +62,11 @@ void GroupCommit::barrier(std::function<void()> Fn) {
   Cv.notify_all();
 }
 
+void GroupCommit::onGroupEnd(std::function<void()> Fn) {
+  assert(!Started && "the group-end step is installed before start()");
+  GroupEnd = std::move(Fn);
+}
+
 void GroupCommit::pause() {
   std::lock_guard<std::mutex> Lock(Mu);
   Paused = true;
@@ -90,20 +95,10 @@ static bool foldInto(ConcurrentRelation::TxLockPlan &Union,
   if (Plan.AllShards)
     return false; // don't widen a routed group to a full sweep
   // Plan.Stripes and Union.Stripes are both sorted ascending.
-  bool Subset = std::includes(Union.Stripes.begin(), Union.Stripes.end(),
-                              Plan.Stripes.begin(), Plan.Stripes.end());
-  if (Subset)
-    return true;
-  std::vector<unsigned> Inter;
-  std::set_intersection(Union.Stripes.begin(), Union.Stripes.end(),
-                        Plan.Stripes.begin(), Plan.Stripes.end(),
-                        std::back_inserter(Inter));
-  if (!Inter.empty())
-    return false; // partial overlap: end the group, keep FIFO
   std::vector<unsigned> Merged;
-  std::merge(Union.Stripes.begin(), Union.Stripes.end(),
-             Plan.Stripes.begin(), Plan.Stripes.end(),
-             std::back_inserter(Merged));
+  std::set_union(Union.Stripes.begin(), Union.Stripes.end(),
+                 Plan.Stripes.begin(), Plan.Stripes.end(),
+                 std::back_inserter(Merged));
   Union.Stripes = std::move(Merged);
   return true;
 }
@@ -178,6 +173,8 @@ void GroupCommit::run() {
         if (Group[G].Done)
           Group[G].Done(Results[G],
                         Results[G].Committed ? Durable : true);
+      if (GroupEnd)
+        GroupEnd();
     }
   }
 }

@@ -16,18 +16,23 @@
 /// transaction is on disk, and the fsync cost is amortized over the
 /// group.
 ///
-/// Compatibility is a lock-footprint policy, not a correctness
-/// condition (any FIFO prefix applied sequentially under the union of
-/// its stripes is serializable — the applications *are* a serial
-/// order, and the tickets drawn inside agree with it). A group grows
-/// from its head transaction while the next queued transaction's lock
-/// plan is either a subset of the group's stripe union or disjoint
-/// from it; the first incompatible transaction ends the group (FIFO is
-/// never reordered), as does a fan-out (all-stripes) plan meeting a
-/// routed group, a barrier, or the MaxGroup cap. Subset folding means
-/// contended same-stripe transfers batch together; disjoint folding
-/// means unrelated shards commit under one fsync without waiting for
-/// each other.
+/// Folding is a lock-footprint policy, not a correctness condition:
+/// any FIFO prefix applied sequentially under the union of its stripes
+/// is serializable — the applications *are* a serial order, and the
+/// tickets drawn inside agree with it. So a group grows from its head
+/// transaction by merging each next queued transaction's lock plan
+/// into the group's stripe union, whether the plan is a subset of the
+/// union, disjoint from it, or overlaps it in part. Only three things
+/// end a group (FIFO is never reordered): a fan-out (all-stripes) plan
+/// meeting a routed group, a barrier, and the MaxGroup cap. The wider
+/// footprint costs concurrent readers of the extra stripes a short
+/// fallback to the stripe lock; in exchange a whole pipelined window
+/// of transfers between random accounts, which almost always overlap
+/// in part, commits under one stripe acquisition and one fsync.
+///
+/// After each group's completion callbacks the committer runs the
+/// group-end step (onGroupEnd), which the server uses to send each
+/// connection's batched replies with one write.
 ///
 /// pause()/resume() freeze the committer so tests can pile up a queue
 /// and observe a multi-transaction group deterministically; barrier()
@@ -109,6 +114,11 @@ public:
   /// Asynchronous — safe to call from a DoneFn.
   void barrier(std::function<void()> Fn);
 
+  /// Installs the step the committer runs after every group's
+  /// completion callbacks (the server flushes batched replies there).
+  /// Call before start().
+  void onGroupEnd(std::function<void()> Fn);
+
   /// Test support: freeze/unfreeze the committer (submissions queue up
   /// while paused, so resume() demonstrably forms multi-tx groups).
   void pause();
@@ -125,13 +135,13 @@ private:
   };
 
   void run();
-  void commitGroup(std::vector<Item> &Group);
 
   ConcurrentRelation &Rel;
   Wal *Log;
   Options Opts;
   /// Every stripe index, for fan-out scopes.
   std::vector<unsigned> AllStripes;
+  std::function<void()> GroupEnd;
 
   mutable std::mutex Mu;
   std::condition_variable Cv;

@@ -148,6 +148,7 @@ bool RelServer::start(std::string *Err) {
       LastTicket.store(Ticket, std::memory_order_relaxed);
     });
   }
+  Committer.onGroupEnd([this] { flushReplies(); });
   Committer.start();
   if (HasWal)
     CkptThread = std::thread([this] { ckptLoop(); });
@@ -200,8 +201,7 @@ void RelServer::stop() {
 // The checkpoint pipeline
 //===----------------------------------------------------------------------===//
 
-void RelServer::scheduleCheckpoint(
-    std::function<void(bool, const std::string &)> Done) {
+void RelServer::scheduleCheckpoint(CkptDoneFn Done) {
   // The barrier runs on the committer with no commit group in flight,
   // so the snapshot handle, the newest logged ticket, and the log's
   // byte offset are one consistent cut: a log record sits at byte
@@ -210,14 +210,22 @@ void RelServer::scheduleCheckpoint(
   // new appends land behind SnapEnd. Everything here is O(shards);
   // serialization and fsyncs happen on the checkpoint thread.
   Committer.barrier([this, Done = std::move(Done)]() mutable {
-    CkptJob Job;
-    Job.Snap = Rel.snapshot();
-    Job.Ticket = LastTicket.load(std::memory_order_relaxed);
-    Job.SnapEnd = Log.writtenBytes();
-    Job.Done = std::move(Done);
+    ConcurrentRelation::Snapshot Snap = Rel.snapshot();
+    uint64_t Ticket = LastTicket.load(std::memory_order_relaxed);
+    size_t SnapEnd = Log.writtenBytes();
     {
       std::lock_guard<std::mutex> Lock(CkptMu);
-      CkptQueue.push_back(std::move(Job));
+      ++CkptRequests;
+      // Coalesce: a job still waiting for the checkpoint thread takes
+      // this newer cut, which covers every commit the older one did,
+      // so each waiting request's contract still holds. Only one
+      // snapshot stays pinned per queued job, not one per request.
+      if (!Queued)
+        Queued.emplace();
+      std::swap(Queued->Snap, Snap); // the older pin drops below, unlocked
+      Queued->Ticket = Ticket;
+      Queued->SnapEnd = SnapEnd;
+      Queued->Dones.push_back(std::move(Done));
     }
     CkptCv.notify_all();
   });
@@ -250,21 +258,40 @@ void RelServer::ckptLoop() {
     CkptJob Job;
     {
       std::unique_lock<std::mutex> Lock(CkptMu);
-      CkptCv.wait(Lock,
-                  [this] { return CkptStopping || !CkptQueue.empty(); });
-      if (CkptQueue.empty()) {
-        if (CkptStopping)
-          return; // drained: every enqueued job has completed
-        continue;
-      }
-      Job = std::move(CkptQueue.front());
-      CkptQueue.pop_front();
+      // On stop, drain even while paused: every request hears back.
+      CkptCv.wait(Lock, [this] {
+        return CkptStopping || (!CkptPaused && Queued);
+      });
+      if (!Queued)
+        return; // stopping and drained: every request has completed
+      Job = std::move(*Queued);
+      Queued.reset();
+      ++CkptJobs;
     }
     std::string E;
     bool Ok = runCheckpoint(Job, &E);
-    if (Job.Done)
-      Job.Done(Ok, E);
+    for (CkptDoneFn &Done : Job.Dones)
+      if (Done)
+        Done(Ok, E);
   }
+}
+
+void RelServer::pauseCheckpoints() {
+  std::lock_guard<std::mutex> Lock(CkptMu);
+  CkptPaused = true;
+}
+
+void RelServer::resumeCheckpoints() {
+  {
+    std::lock_guard<std::mutex> Lock(CkptMu);
+    CkptPaused = false;
+  }
+  CkptCv.notify_all();
+}
+
+RelServer::CheckpointCounts RelServer::checkpointCounts() const {
+  std::lock_guard<std::mutex> Lock(CkptMu);
+  return CheckpointCounts{CkptRequests, CkptJobs};
 }
 
 void RelServer::acceptLoop() {
@@ -279,6 +306,7 @@ void RelServer::acceptLoop() {
       ::close(Fd);
       return;
     }
+    wire::setNoDelay(Fd);
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     std::lock_guard<std::mutex> Lock(ConnMu);
@@ -320,41 +348,70 @@ void RelServer::connLoop(ConnPtr C) {
 // Request handling
 //===----------------------------------------------------------------------===//
 
-void RelServer::reply(const ConnPtr &C, Status St, uint64_t ReqId,
-                      const std::vector<uint8_t> &Payload) {
+static std::vector<uint8_t> responseBody(Status St, uint64_t ReqId,
+                                         const std::vector<uint8_t> &Payload) {
   wire::ByteWriter W;
   W.u8(static_cast<uint8_t>(St));
   W.u64(ReqId);
   W.bytes(Payload.data(), Payload.size());
+  return W.take();
+}
+
+static std::vector<uint8_t> errorPayload(std::string_view Msg) {
+  wire::ByteWriter W;
+  W.str(Msg);
+  return W.take();
+}
+
+void RelServer::reply(const ConnPtr &C, Status St, uint64_t ReqId,
+                      const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> Body = responseBody(St, ReqId, Payload);
   std::lock_guard<std::mutex> Lock(C->WriteMu);
-  wire::writeFrame(C->Fd, W.data()); // failure = peer gone; nothing to do
+  wire::writeFrame(C->Fd, Body); // failure = peer gone; nothing to do
 }
 
 void RelServer::replyError(const ConnPtr &C, uint64_t ReqId,
                            std::string_view Msg) {
-  wire::ByteWriter W;
-  W.str(Msg);
-  reply(C, Status::Error, ReqId, W.data());
+  reply(C, Status::Error, ReqId, errorPayload(Msg));
+}
+
+void RelServer::batchReply(const ConnPtr &C, Status St, uint64_t ReqId,
+                           const std::vector<uint8_t> &Payload) {
+  if (C->Batched.empty())
+    Unflushed.push_back(C);
+  wire::appendFrame(C->Batched, responseBody(St, ReqId, Payload));
+}
+
+void RelServer::flushReplies() {
+  for (const ConnPtr &C : Unflushed) {
+    std::lock_guard<std::mutex> Lock(C->WriteMu);
+    // Failure = peer gone; nothing to do.
+    wire::writeFull(C->Fd, C->Batched.data(), C->Batched.size());
+    C->Batched.clear();
+  }
+  Unflushed.clear();
 }
 
 void RelServer::submitMutation(const ConnPtr &C, uint64_t ReqId,
                                std::vector<TxOp> Ops) {
+  // Runs on the committer after the group's sync; the reply leaves in
+  // the group-end flush, batched with the group's other replies to C.
   Committer.submit(
       std::move(Ops), [this, C, ReqId](const TxResult &R, bool Durable) {
+        wire::ByteWriter W;
         if (R.Committed && Durable) {
-          wire::ByteWriter W;
           W.u64(R.Ticket);
-          reply(C, Status::Ok, ReqId, W.data());
+          batchReply(C, Status::Ok, ReqId, W.data());
           SinceCkpt.fetch_add(1, std::memory_order_relaxed);
           maybeAutoCheckpoint();
         } else if (R.Committed) {
           // Applied in memory but the sync failed: the one reply that
           // must NOT read as a durable ack.
-          replyError(C, ReqId, "commit not durable: wal sync failed");
+          batchReply(C, Status::Error, ReqId,
+                     errorPayload("commit not durable: wal sync failed"));
         } else {
-          wire::ByteWriter W;
           W.u32(static_cast<uint32_t>(R.FailedOp));
-          reply(C, Status::Aborted, ReqId, W.data());
+          batchReply(C, Status::Aborted, ReqId, W.data());
         }
       });
 }
@@ -538,7 +595,7 @@ bool RelServer::handleFrame(const ConnPtr &C,
       return true;
     }
     ColumnSet Out = ColumnSet::fromMask(OutMask);
-    if (!Rel.shard(0).planFor(Pattern.columns(), Out)) {
+    if (!Rel.canPlan(Pattern.columns(), Out)) {
       replyError(C, ReqId, "no plan for this query shape");
       return true;
     }

@@ -11,9 +11,10 @@
 /// inline on the connection thread against the epoch-protected read
 /// path, and mutations (Insert/Remove/Update/Transact) funneled
 /// through the group-commit queue (server/GroupCommit.h) — the
-/// response is written from the committer's completion callback, after
-/// the WAL sync covering the transaction, so a client that has seen an
-/// Ok owns a durable commit.
+/// response is framed by the committer's completion callback, after
+/// the WAL sync covering the transaction, and each connection's
+/// replies from one commit group leave in a single write at the
+/// group's end, so a client that has seen an Ok owns a durable commit.
 ///
 /// Durability pipeline: setCommitHook serializes each committed
 /// batch's redo ops (wire::encodeRedo) and appends them to the Wal in
@@ -44,10 +45,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +115,20 @@ public:
     return CheckpointFailures.load(std::memory_order_relaxed);
   }
 
+  /// Checkpoint requests (explicit, wire, and automatic) and the jobs
+  /// that served them. Requests that arrive while a job waits for the
+  /// checkpoint thread join that job, so Jobs <= Requests.
+  struct CheckpointCounts {
+    uint64_t Requests = 0;
+    uint64_t Jobs = 0;
+  };
+  CheckpointCounts checkpointCounts() const;
+
+  /// Test support: hold/release the checkpoint thread before its next
+  /// job (requests keep coalescing into the queued one meanwhile).
+  void pauseCheckpoints();
+  void resumeCheckpoints();
+
   /// Snapshot codec (shared with tests): `u32 count | count tuples`.
   static std::vector<uint8_t> encodeSnapshot(const Relation &R);
   static bool decodeSnapshot(const std::vector<uint8_t> &Bytes,
@@ -122,7 +137,12 @@ public:
 private:
   struct Conn {
     int Fd = -1;
+    /// Serializes writes to Fd across the connection, committer, and
+    /// checkpoint threads.
     std::mutex WriteMu;
+    /// Framed replies of the current commit group, sent by
+    /// flushReplies. Touched only on the committer thread.
+    std::vector<uint8_t> Batched;
     /// Set by connLoop as its last act; lets the acceptor reap the
     /// entry (join the thread, drop the Conn) without blocking.
     std::atomic<bool> Done{false};
@@ -144,6 +164,12 @@ private:
   void reply(const ConnPtr &C, wire::Status St, uint64_t ReqId,
              const std::vector<uint8_t> &Payload);
   void replyError(const ConnPtr &C, uint64_t ReqId, std::string_view Msg);
+  /// Committer-thread reply: framed into C->Batched, sent at group end.
+  void batchReply(const ConnPtr &C, wire::Status St, uint64_t ReqId,
+                  const std::vector<uint8_t> &Payload);
+  /// The committer's group-end step: one write per connection that
+  /// has batched replies.
+  void flushReplies();
   /// Submits a mutation batch whose completion answers \p ReqId.
   void submitMutation(const ConnPtr &C, uint64_t ReqId,
                       std::vector<TxOp> Ops);
@@ -152,6 +178,8 @@ private:
   bool toTxOp(const wire::WireTxOp &W, TxOp &Out, std::string &Msg) const;
   void maybeAutoCheckpoint();
 
+  /// Checkpoint completion: (ok, error message).
+  using CkptDoneFn = std::function<void(bool, const std::string &)>;
   /// One queued checkpoint: the O(shards) snapshot handle plus the
   /// tickets pinning its place in the log, grabbed inside a committer
   /// barrier; everything O(n) happens on the checkpoint thread.
@@ -162,14 +190,15 @@ private:
     /// Log byte offset covering exactly tickets <= Ticket — the
     /// compaction point handed to Wal::checkpoint.
     size_t SnapEnd = 0;
-    /// Optional completion, run on the checkpoint thread after the
-    /// outcome is known (ok, error message).
-    std::function<void(bool, const std::string &)> Done;
+    /// Completions of every request this job serves, run on the
+    /// checkpoint thread after the outcome is known.
+    std::vector<CkptDoneFn> Dones;
   };
   /// Enqueues a snapshot-grab barrier on the committer; the resulting
-  /// job is executed by the checkpoint thread. \p Done always fires —
-  /// success, checkpoint failure, and shutdown-drain alike.
-  void scheduleCheckpoint(std::function<void(bool, const std::string &)> Done);
+  /// cut joins the queued job or starts one, which the checkpoint
+  /// thread executes. \p Done always fires — success, checkpoint
+  /// failure, and shutdown-drain alike.
+  void scheduleCheckpoint(CkptDoneFn Done);
   /// Serializes + persists one job; updates SinceCkpt and the failure
   /// counter/backoff. Returns success and fills \p Err on failure.
   bool runCheckpoint(CkptJob &Job, std::string *Err);
@@ -186,6 +215,9 @@ private:
   std::thread Acceptor;
   std::mutex ConnMu;
   std::vector<ConnEntry> Conns;
+  /// Connections with batched replies awaiting the group-end flush.
+  /// Committer thread only.
+  std::vector<ConnPtr> Unflushed;
   std::atomic<bool> Running{false};
   uint64_t Recovered = 0;
   /// Newest commit ticket this server knows of (recovered or logged);
@@ -200,10 +232,15 @@ private:
 
   /// Dedicated checkpoint pipeline (see scheduleCheckpoint).
   std::thread CkptThread;
-  std::mutex CkptMu;
+  mutable std::mutex CkptMu;
   std::condition_variable CkptCv;
-  std::deque<CkptJob> CkptQueue;
+  /// The job waiting for the checkpoint thread (at most one: later
+  /// requests coalesce into it).
+  std::optional<CkptJob> Queued;
+  bool CkptPaused = false;
   bool CkptStopping = false;
+  uint64_t CkptRequests = 0;
+  uint64_t CkptJobs = 0;
 };
 
 } // namespace relc

@@ -438,7 +438,12 @@ int listenTcp(uint16_t Port, std::string *Err);
 uint16_t boundPort(int Fd);
 
 /// Connects to 127.0.0.1:\p Port. Returns the fd, or -1 with \p Err.
+/// The socket has TCP_NODELAY set.
 int connectTcp(uint16_t Port, std::string *Err);
+
+/// Sets TCP_NODELAY: every frame is one complete message, so Nagle
+/// would only hold replies behind the peer's delayed ACK.
+void setNoDelay(int Fd);
 
 /// Reads exactly \p N bytes; false on EOF or error.
 bool readFull(int Fd, void *Buf, size_t N);
@@ -451,10 +456,19 @@ bool writeFull(int Fd, const void *Buf, size_t N);
 /// caller must close the connection in every false case.
 bool readFrame(int Fd, std::vector<uint8_t> &Body);
 
-/// Writes `u32 len | body`.
+/// Writes `u32 len | body` in one sendmsg (looping on short writes).
 bool writeFrame(int Fd, const uint8_t *Body, size_t N);
 inline bool writeFrame(int Fd, const std::vector<uint8_t> &Body) {
   return writeFrame(Fd, Body.data(), Body.size());
+}
+
+/// Appends `u32 len | body` to \p Out, so several frames can leave in
+/// one writeFull. The caller keeps bodies within MaxBody.
+inline void appendFrame(std::vector<uint8_t> &Out,
+                        const std::vector<uint8_t> &Body) {
+  for (int I = 0; I != 4; ++I)
+    Out.push_back(static_cast<uint8_t>(Body.size() >> (8 * I)));
+  Out.insert(Out.end(), Body.begin(), Body.end());
 }
 
 } // namespace wire

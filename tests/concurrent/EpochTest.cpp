@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -165,6 +166,51 @@ TEST(EpochTest, FenceWaitsForWildcardSection) {
   Reader.join();
   Writer.join();
   EXPECT_TRUE(FenceDone.load());
+}
+
+/// A fence over more gates than one 64-tag wait chunk raises every
+/// gate and waits for a section on a gate in a later chunk, then
+/// lowers them all.
+TEST(EpochTest, FenceOverManyGatesWaitsForEveryChunk) {
+  EpochManager &M = EpochManager::global();
+  const unsigned N = 4096;
+  std::unique_ptr<EpochGate[]> Gates(new EpochGate[N]);
+  std::vector<unsigned> Idx(N);
+  for (unsigned I = 0; I != N; ++I)
+    Idx[I] = I;
+  const unsigned Late = 4000; // in the 63rd chunk
+
+  std::atomic<int> Stage{0};
+  std::thread Reader([&] {
+    M.enter(&Gates[Late]);
+    Stage.store(1, std::memory_order_release);
+    spinUntil(Stage, 2);
+    M.exit();
+  });
+  spinUntil(Stage, 1);
+
+  std::atomic<bool> FenceDone{false};
+  std::atomic<bool> AllRaised{false};
+  std::thread Writer([&] {
+    EpochWriterFence F(Gates.get(), Idx.data(), N);
+    bool Raised = true;
+    for (unsigned I = 0; I != N; ++I)
+      Raised &= Gates[I].writerActive();
+    AllRaised.store(Raised);
+    FenceDone.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(FenceDone.load(std::memory_order_acquire));
+  EXPECT_TRUE(Gates[0].writerActive());
+  EXPECT_TRUE(Gates[N - 1].writerActive());
+
+  Stage.store(2, std::memory_order_release);
+  Reader.join();
+  Writer.join();
+  EXPECT_TRUE(FenceDone.load());
+  EXPECT_TRUE(AllRaised.load());
+  for (unsigned I = 0; I != N; ++I)
+    ASSERT_FALSE(Gates[I].writerActive()) << "gate " << I << " left raised";
 }
 
 /// Nesting a section with a different tag widens the slot to the

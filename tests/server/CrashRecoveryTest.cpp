@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concurrent/ShardRouter.h"
 #include "server/Client.h"
 #include "server/GroupCommit.h"
 #include "server/Server.h"
@@ -1049,6 +1050,203 @@ TEST(CrashRecovery, CheckpointSurvivesClientDisconnectBeforeCompletion) {
   RelClient Fresh;
   ASSERT_TRUE(Fresh.connect(Server.port()));
   EXPECT_TRUE(Fresh.ping());
+  Server.stop();
+  removeWal(Path);
+}
+
+/// Checkpoint requests that arrive while a job waits for the
+/// checkpoint thread join that job instead of pinning one snapshot
+/// each. Eight concurrent requests during a stream of transfers all get
+/// Ok from ONE job, and a restart recovers exactly the ticket-order
+/// replay of every acked commit.
+TEST(CrashRecovery, ConcurrentCheckpointsCoalesceIntoOneJob) {
+  RelSpecRef Spec = accountSpec();
+  const Catalog &Cat = Spec->catalog();
+  ColumnId Bal = Cat.get("balance");
+  std::string Path = walPath("ckptcoalesce");
+  removeWal(Path);
+  ServerOptions Opts;
+  Opts.WalPath = Path;
+  Opts.Concurrent = fourShards();
+  const int64_t Accounts = 32;
+  auto acct = [&](int64_t A) {
+    return TupleBuilder(Cat).set("owner", A / 4).set("acct", A % 4).build();
+  };
+
+  struct Acked {
+    uint64_t Ticket;
+    int64_t From, To, Amt;
+  };
+  std::vector<Acked> Log;
+  {
+    RelServer Server(accountDecomp(Spec), Opts);
+    std::string Err;
+    ASSERT_TRUE(Server.start(&Err)) << Err;
+    RelClient Seeder;
+    ASSERT_TRUE(Seeder.connect(Server.port()));
+    for (int64_t A = 0; A != Accounts; ++A) {
+      RelClient::Reply R;
+      ASSERT_TRUE(Seeder.insert(TupleBuilder(Cat)
+                                    .set("owner", A / 4)
+                                    .set("acct", A % 4)
+                                    .set("balance", 1000)
+                                    .build(),
+                                &R));
+      ASSERT_TRUE(R.ok());
+    }
+
+    Server.pauseCheckpoints();
+    std::atomic<bool> Stop{false};
+    std::thread Writer([&] {
+      RelClient Cli;
+      ASSERT_TRUE(Cli.connect(Server.port()));
+      Lcg Rand(7);
+      while (!Stop.load()) {
+        int64_t From = static_cast<int64_t>(Rand.below(Accounts));
+        int64_t To = (From + 1 + static_cast<int64_t>(
+                                     Rand.below(Accounts - 1))) % Accounts;
+        int64_t Amt = 1 + static_cast<int64_t>(Rand.below(10));
+        RelClient::Reply R;
+        ASSERT_TRUE(Cli.transact({wire::WireTxOp::add(acct(From), Bal, -Amt, 0),
+                                  wire::WireTxOp::add(acct(To), Bal, Amt)},
+                                 &R));
+        if (R.ok())
+          Log.push_back({R.Ticket, From, To, Amt});
+      }
+    });
+    const int Requests = 8;
+    std::vector<RelClient::Reply> Replies(Requests);
+    std::vector<std::thread> Ckpts;
+    for (int I = 0; I != Requests; ++I)
+      Ckpts.emplace_back([&, I] {
+        RelClient Cli;
+        ASSERT_TRUE(Cli.connect(Server.port()));
+        ASSERT_TRUE(Cli.checkpoint(&Replies[I]));
+      });
+    // Every request's barrier has run while the checkpoint thread is
+    // held: they must all sit in the one queued job.
+    ASSERT_TRUE(waitUntil(
+        [&] { return Server.checkpointCounts().Requests == Requests; }));
+    EXPECT_EQ(Server.checkpointCounts().Jobs, 0u);
+    Server.resumeCheckpoints();
+    for (std::thread &T : Ckpts)
+      T.join();
+    Stop.store(true);
+    Writer.join();
+    for (const RelClient::Reply &R : Replies)
+      EXPECT_TRUE(R.ok()) << R.Error;
+    RelServer::CheckpointCounts Counts = Server.checkpointCounts();
+    EXPECT_EQ(Counts.Requests, static_cast<uint64_t>(Requests));
+    EXPECT_EQ(Counts.Jobs, 1u) << "queued requests must share one job";
+    EXPECT_EQ(Server.checkpointFailures(), 0u);
+    Server.stop();
+  }
+
+  ConcurrentRelation Model(accountDecomp(Spec), fourShards());
+  for (int64_t A = 0; A != Accounts; ++A)
+    ASSERT_TRUE(Model.insert(TupleBuilder(Cat)
+                                 .set("owner", A / 4)
+                                 .set("acct", A % 4)
+                                 .set("balance", 1000)
+                                 .build()));
+  std::sort(Log.begin(), Log.end(),
+            [](const Acked &A, const Acked &B) { return A.Ticket < B.Ticket; });
+  for (const Acked &T : Log)
+    ASSERT_TRUE(Model.transact(transfer(Cat, T.From, T.To, T.Amt)).Committed);
+
+  RelServer Restarted(accountDecomp(Spec), Opts);
+  std::string Err;
+  ASSERT_TRUE(Restarted.start(&Err)) << Err;
+  expectSameRelation(Restarted.relation().toRelation(), Model.toRelation());
+  Restarted.stop();
+  removeWal(Path);
+}
+
+/// Query planning must never read a shard slot the committer can swap.
+/// Point queries on shard-0 keys race transfers between shard-0
+/// accounts (each first write after a snapshot copy-on-write swaps
+/// slot 0) and back-to-back checkpoints (each takes that snapshot).
+/// Planning on the live slot 0 without a lock or epoch section read a
+/// null or freed shard here and crashed.
+TEST(CrashRecovery, QueriesRaceShardZeroSwapsUnderCheckpoints) {
+  RelSpecRef Spec = accountSpec();
+  const Catalog &Cat = Spec->catalog();
+  ColumnId Bal = Cat.get("balance");
+  std::string Path = walPath("shard0race");
+  removeWal(Path);
+  ServerOptions Opts;
+  Opts.WalPath = Path;
+  Opts.Concurrent = fourShards();
+  RelServer Server(accountDecomp(Spec), Opts);
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  ShardRouter Router(Cat.get("owner"), 4);
+  std::vector<Tuple> Zero;
+  for (int64_t Owner = 0; Owner != 64 && Zero.size() < 16; ++Owner)
+    if (Router.shardOf(Value::ofInt(Owner)) == 0)
+      for (int64_t Acct = 0; Acct != 4; ++Acct)
+        Zero.push_back(
+            TupleBuilder(Cat).set("owner", Owner).set("acct", Acct).build());
+  ASSERT_GE(Zero.size(), 8u);
+  {
+    RelClient Cli;
+    ASSERT_TRUE(Cli.connect(Server.port()));
+    for (const Tuple &K : Zero) {
+      Tuple Row = K;
+      Row.set(Bal, Value::ofInt(100));
+      RelClient::Reply R;
+      ASSERT_TRUE(Cli.insert(Row, &R));
+      ASSERT_TRUE(R.ok());
+    }
+  }
+
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Queries{0};
+  std::vector<std::thread> Threads;
+  for (int Q = 0; Q != 2; ++Q)
+    Threads.emplace_back([&, Q] {
+      RelClient Cli;
+      ASSERT_TRUE(Cli.connect(Server.port()));
+      Lcg Rand(11 + Q);
+      while (!Stop.load()) {
+        std::vector<Tuple> Rows;
+        ASSERT_TRUE(Cli.query(Zero[Rand.below(Zero.size())],
+                              Cat.allColumns(), Rows));
+        ASSERT_EQ(Rows.size(), 1u);
+        Queries.fetch_add(1);
+      }
+    });
+  Threads.emplace_back([&] {
+    RelClient Cli;
+    ASSERT_TRUE(Cli.connect(Server.port()));
+    Lcg Rand(5);
+    while (!Stop.load()) {
+      size_t From = Rand.below(Zero.size());
+      size_t To = (From + 1 + Rand.below(Zero.size() - 1)) % Zero.size();
+      RelClient::Reply R;
+      ASSERT_TRUE(Cli.transact({wire::WireTxOp::add(Zero[From], Bal, -1, 0),
+                                wire::WireTxOp::add(Zero[To], Bal, 1)},
+                               &R));
+    }
+  });
+  {
+    RelClient Cli;
+    ASSERT_TRUE(Cli.connect(Server.port()));
+    for (int I = 0; I != 40; ++I) {
+      RelClient::Reply R;
+      ASSERT_TRUE(Cli.checkpoint(&R));
+      EXPECT_TRUE(R.ok()) << R.Error;
+    }
+  }
+  Stop.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_GT(Queries.load(), 0u);
+  int64_t Total = 0;
+  for (const Tuple &T : Server.relation().toRelation().tuples())
+    Total += T.get(Bal).asInt();
+  EXPECT_EQ(Total, 100 * static_cast<int64_t>(Zero.size()));
   Server.stop();
   removeWal(Path);
 }

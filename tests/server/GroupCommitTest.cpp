@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -162,52 +163,89 @@ TEST_F(GroupCommitFixture, PausedSubmissionsFoldIntoOneGroup) {
   EXPECT_EQ(totalBalance(), 8 * 1000);
 }
 
-TEST_F(GroupCommitFixture, DisjointStripesFoldPartialOverlapDoesNot) {
-  seed(16, 1000);
-  // Find three single-stripe transfer plans: A and B on different
-  // stripes (disjoint -> fold), and C = A ∪ B's partner overlapping
-  // only partially with the folded union when combined with a third
-  // stripe (ends the group).
-  auto planOf = [&](int64_t From, int64_t To) {
-    return Rel.transactLockPlan(transfer(Cat, From, To, 1));
+/// A paused queue of A, then B overlapping A's stripes only in part,
+/// then C folds into ONE group (the union footprint), and the group
+/// applies them in FIFO order: B only commits after A funded it, and C
+/// aborts on what A and B left. A serial replay agrees exactly.
+TEST_F(GroupCommitFixture, PartialOverlapFoldsInFifoOrder) {
+  seed(64, 1000);
+  // Three owners on three different stripes: A = o1 -> o2 and
+  // B = o2 -> o3 share only o2's stripe.
+  auto stripeOf = [&](int64_t Owner) {
+    std::vector<TxOp> Ops;
+    Ops.push_back(addOp(Cat, Owner, 0, 0, 0));
+    ConcurrentRelation::TxLockPlan P = Rel.transactLockPlan(Ops);
+    EXPECT_EQ(P.Stripes.size(), 1u);
+    return P.Stripes.front();
   };
-  // Owners 0..3 hash somewhere across 4 stripes; find two transfers
-  // with disjoint stripe sets.
-  int64_t FromA = 0, ToA = 4; // owners 0 -> 1
-  ConcurrentRelation::TxLockPlan PA = planOf(FromA, ToA);
-  ASSERT_FALSE(PA.AllShards);
-  int64_t FromB = -1, ToB = -1;
-  for (int64_t F = 8; F != 16 && FromB < 0; F += 4)
-    for (int64_t T = 12; T != 16; T += 4) {
-      if (F == T)
-        continue;
-      ConcurrentRelation::TxLockPlan PB = planOf(F, T);
-      bool Disjoint = true;
-      for (unsigned S : PB.Stripes)
-        for (unsigned SA : PA.Stripes)
-          Disjoint &= S != SA;
-      if (Disjoint) {
-        FromB = F;
-        ToB = T;
-        break;
-      }
+  std::vector<int64_t> Owners;
+  std::vector<unsigned> Used;
+  for (int64_t O = 0; O != 16 && Owners.size() != 3; ++O) {
+    unsigned S = stripeOf(O);
+    if (std::find(Used.begin(), Used.end(), S) == Used.end()) {
+      Owners.push_back(O);
+      Used.push_back(S);
     }
-  if (FromB < 0)
-    GTEST_SKIP() << "hash placed every owner on overlapping stripes";
+  }
+  ASSERT_EQ(Owners.size(), 3u) << "16 owners hashed onto < 3 of 4 stripes";
+  int64_t O1 = 4 * Owners[0], O2 = 4 * Owners[1], O3 = 4 * Owners[2];
+  std::vector<std::vector<TxOp>> Txns;
+  Txns.push_back(transfer(Cat, O1, O2, 600));  // o2: 1600
+  Txns.push_back(transfer(Cat, O2, O3, 1500)); // needs A first; o3: 2500
+  Txns.push_back(transfer(Cat, O3, O1, 2600)); // overdraft: aborts
+  ConcurrentRelation::TxLockPlan PA = Rel.transactLockPlan(Txns[0]);
+  ConcurrentRelation::TxLockPlan PB = Rel.transactLockPlan(Txns[1]);
+  ASSERT_FALSE(std::includes(PA.Stripes.begin(), PA.Stripes.end(),
+                             PB.Stripes.begin(), PB.Stripes.end()));
+  std::vector<unsigned> Shared;
+  std::set_intersection(PA.Stripes.begin(), PA.Stripes.end(),
+                        PB.Stripes.begin(), PB.Stripes.end(),
+                        std::back_inserter(Shared));
+  ASSERT_FALSE(Shared.empty()) << "B must overlap A, in part";
+
+  // The serial replay: the same three batches, one at a time.
+  ConcurrentRelation Serial(accountDecomp(Spec), shardOpts());
+  for (const Tuple &T : Rel.toRelation().tuples())
+    ASSERT_TRUE(Serial.insert(T));
+  std::vector<TxResult> Expected;
+  for (const std::vector<TxOp> &Ops : Txns)
+    Expected.push_back(Serial.transact(Ops));
+  ASSERT_TRUE(Expected[0].Committed);
+  ASSERT_TRUE(Expected[1].Committed);
+  ASSERT_FALSE(Expected[2].Committed);
 
   GroupCommit GC(Rel, nullptr);
   GC.start();
   GC.pause();
+  std::mutex Mu;
+  std::vector<TxResult> Got(Txns.size());
   DoneLatch Latch;
-  GC.submit(transfer(Cat, FromA, ToA, 5), Latch.fn());
-  GC.submit(transfer(Cat, FromB, ToB, 5), Latch.fn());
+  for (size_t I = 0; I != Txns.size(); ++I)
+    GC.submit(Txns[I], [&, I, Count = Latch.fn()](const TxResult &R,
+                                                    bool Durable) {
+      {
+        std::lock_guard<std::mutex> Lock(Mu);
+        Got[I] = R;
+      }
+      Count(R, Durable);
+    });
   GC.resume();
-  Latch.waitFor(2);
+  Latch.waitFor(Txns.size());
   GC.stop();
+
   GroupCommitStats S = GC.stats();
-  EXPECT_EQ(S.Groups, 1u) << "disjoint stripe sets commit as one group";
-  EXPECT_EQ(S.MaxGroupSize, 2u);
-  EXPECT_EQ(totalBalance(), 16 * 1000);
+  EXPECT_EQ(S.Groups, 1u) << "a partial overlap must not end the group";
+  EXPECT_EQ(S.MaxGroupSize, 3u);
+  for (size_t I = 0; I != Txns.size(); ++I) {
+    EXPECT_EQ(Got[I].Committed, Expected[I].Committed) << "txn " << I;
+    EXPECT_EQ(Got[I].Ticket, Expected[I].Ticket) << "txn " << I;
+    if (!Expected[I].Committed)
+      EXPECT_EQ(Got[I].FailedOp, Expected[I].FailedOp) << "txn " << I;
+  }
+  Relation Want = Serial.toRelation(), Have = Rel.toRelation();
+  EXPECT_EQ(Have.size(), Want.size());
+  for (const Tuple &T : Want.tuples())
+    EXPECT_TRUE(Have.contains(T));
 }
 
 TEST_F(GroupCommitFixture, BarrierRunsAfterEverythingBeforeIt) {

@@ -23,8 +23,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <memory>
+#include <pthread.h>
 #include <set>
+#include <sys/socket.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace relc;
 
@@ -200,6 +208,57 @@ TEST(WireCodec, ReaderRejectsJunk) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frames over a real socket
+//===----------------------------------------------------------------------===//
+
+std::atomic<int> Interrupts{0};
+void countInterrupt(int) { Interrupts.fetch_add(1); }
+
+/// A max-size frame through a send buffer a few hundred times smaller:
+/// the writer blocks over and over, and signals (installed without
+/// SA_RESTART) cut its blocked sendmsg calls short mid-frame, so the
+/// short-write loop has to resume inside the prefix or body iovec.
+/// The reader must still get the exact body.
+TEST(WireFrames, LargeFrameSurvivesShortWrites) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  int Small = 4096;
+  ::setsockopt(Fds[0], SOL_SOCKET, SO_SNDBUF, &Small, sizeof(Small));
+  ::setsockopt(Fds[1], SOL_SOCKET, SO_RCVBUF, &Small, sizeof(Small));
+  struct sigaction Act {}, Old {};
+  Act.sa_handler = countInterrupt;
+  sigemptyset(&Act.sa_mask);
+  Act.sa_flags = 0; // no SA_RESTART: a blocked send returns early
+  ASSERT_EQ(::sigaction(SIGUSR1, &Act, &Old), 0);
+
+  std::vector<uint8_t> Body(wire::MaxBody);
+  for (size_t I = 0; I != Body.size(); ++I)
+    Body[I] = static_cast<uint8_t>(I * 131 + (I >> 13));
+  std::atomic<bool> Written{false};
+  bool WriteOk = false;
+  std::thread Writer([&] {
+    WriteOk = wire::writeFrame(Fds[0], Body);
+    Written.store(true);
+  });
+  std::vector<uint8_t> Got;
+  bool ReadOk = false;
+  std::thread Reader([&] { ReadOk = wire::readFrame(Fds[1], Got); });
+  while (!Written.load()) {
+    ::pthread_kill(Writer.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  Writer.join();
+  Reader.join();
+  ::sigaction(SIGUSR1, &Old, nullptr);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+  EXPECT_TRUE(WriteOk);
+  ASSERT_TRUE(ReadOk);
+  EXPECT_TRUE(Got == Body) << "frame corrupted across short writes ("
+                           << Interrupts.load() << " interrupts)";
+}
+
+//===----------------------------------------------------------------------===//
 // Live-server protocol tests
 //===----------------------------------------------------------------------===//
 
@@ -358,6 +417,67 @@ TEST_F(WireServerTest, PipelinedTransactsAllAnswered) {
   EXPECT_EQ(Seen.size(), Ids.size());
   for (uint64_t Id : Ids)
     EXPECT_TRUE(Seen.count(Id));
+}
+
+/// Replies must not wait for the peer's delayed ACK (~40 ms on Linux):
+/// both ends set TCP_NODELAY and each frame leaves in one send.
+TEST_F(WireServerTest, PingRoundTripIsNotHeldByDelayedAck) {
+  RelClient Cli;
+  ASSERT_TRUE(Cli.connect(Server->port()));
+  ASSERT_TRUE(Cli.ping()); // warm up
+  std::vector<double> Ms;
+  for (int I = 0; I != 20; ++I) {
+    auto Start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(Cli.ping());
+    Ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - Start)
+                     .count());
+  }
+  std::sort(Ms.begin(), Ms.end());
+  EXPECT_LT(Ms[Ms.size() / 2], 5.0) << "ping p50 in ms";
+}
+
+/// A full pipelined window on one connection commits as one group, and
+/// its replies leave in one batched write: each request still gets
+/// exactly one reply, carrying its own id.
+TEST_F(WireServerTest, PipelinedWindowGetsOneReplyPerRequest) {
+  RelClient Cli;
+  ASSERT_TRUE(Cli.connect(Server->port()));
+  ColumnId Bal = Cat->get("balance");
+  const int64_t Accounts = 16;
+  RelClient::Reply R;
+  for (int64_t A = 0; A != Accounts; ++A) {
+    ASSERT_TRUE(Cli.insert(account(A, 0, 1000), &R));
+    ASSERT_TRUE(R.ok());
+  }
+  uint64_t Before = Server->commitStats().Submitted;
+  Server->committer().pause();
+  const int Window = 64;
+  std::set<uint64_t> Ids;
+  for (int I = 0; I != Window; ++I) {
+    int64_t From = I % Accounts, To = (I * 7 + 3) % Accounts;
+    if (To == From)
+      To = (To + 1) % Accounts;
+    uint64_t Id = Cli.sendTransact({wire::WireTxOp::add(key(From, 0), Bal, -1, 0),
+                                    wire::WireTxOp::add(key(To, 0), Bal, 1)});
+    ASSERT_NE(Id, 0u);
+    Ids.insert(Id);
+  }
+  while (Server->commitStats().Submitted < Before + Window)
+    std::this_thread::yield();
+  Server->committer().resume();
+  std::set<uint64_t> Seen;
+  for (int I = 0; I != Window; ++I) {
+    ASSERT_TRUE(Cli.recvReply(R));
+    EXPECT_TRUE(R.ok());
+    EXPECT_TRUE(Ids.count(R.ReqId)) << "reply to an unknown id " << R.ReqId;
+    EXPECT_TRUE(Seen.insert(R.ReqId).second) << "second reply to " << R.ReqId;
+  }
+  EXPECT_EQ(Seen, Ids);
+  // No stray reply is queued ahead of the next round trip.
+  EXPECT_TRUE(Cli.ping());
+  EXPECT_EQ(Server->commitStats().MaxGroupSize, static_cast<uint64_t>(Window))
+      << "the whole window must fold into one group";
 }
 
 TEST_F(WireServerTest, OversizedLengthPrefixClosesConnection) {
